@@ -370,10 +370,7 @@ func (c *Cluster) drainOnce() (replayed, failed int) {
 		if d, _ := n.hints.depth(); d == 0 {
 			continue
 		}
-		got, err := n.hints.drain(func(db string, pts []lineproto.Point) error {
-			return c.clientFor(id, db).WritePoints(pts)
-		})
-		n.replayed.Add(uint64(got))
+		got, err := c.drainPeer(id)
 		replayed += got
 		if err != nil {
 			failed++
@@ -394,19 +391,25 @@ func (c *Cluster) DrainHints(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		n := c.nodes[id]
-		if n.hints == nil {
+		if c.nodes[id].hints == nil {
 			continue
 		}
-		got, err := n.hints.drain(func(db string, pts []lineproto.Point) error {
-			return c.clientFor(id, db).WritePoints(pts)
-		})
-		n.replayed.Add(uint64(got))
-		if err != nil && firstErr == nil {
+		if _, err := c.drainPeer(id); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("cluster: drain to %s: %w", id, err)
 		}
 	}
 	return firstErr
+}
+
+// drainPeer replays one peer's hint queue in order, stopping at the
+// first failed batch, and returns the number of batches replayed.
+func (c *Cluster) drainPeer(id string) (int, error) {
+	n := c.nodes[id]
+	got, err := n.hints.drain(func(db string, pts []lineproto.Point) error {
+		return c.clientFor(id, db).WritePoints(pts)
+	})
+	n.replayed.Add(uint64(got))
+	return got, err
 }
 
 // PendingHints sums the queued hint batches across all peers.

@@ -123,101 +123,89 @@ func isNoDatabase(res tsdb.ExecResult) bool {
 	return res.Err == tsdb.ErrNoDatabase.Error()
 }
 
-// routeAttempt records one replica attempt of a routed statement for the
-// EXPLAIN ANALYZE routing profile.
-type routeAttempt struct {
-	node   string
-	durNS  int64
-	status string // "ok", "no-database", or the error text
-}
-
 // execRouted routes a measurement-scoped statement to its owner slice:
 // first healthy owner answers, the rest are failover targets. A replica
 // with queued hints is tried last — it is known to be missing
-// acknowledged writes until handoff drains.
+// acknowledged writes until handoff drains. Each attempt is one
+// cluster.query.node span whose status attribute records how the replica
+// answered: "ok", "no-database" or the error.
 func (q *DistributedQuerier) execRouted(ctx context.Context, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, error) {
-	res, _, err := q.execRoutedProf(ctx, req, st)
-	return res, err
-}
-
-// execRoutedProf is execRouted keeping the per-attempt routing profile:
-// which replicas were tried, how long each took, and how each answered.
-// The last attempt of a successful route is the chosen replica.
-func (q *DistributedQuerier) execRoutedProf(ctx context.Context, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, []routeAttempt, error) {
 	owners := q.c.owners(req.Database, st.Query.Measurement)
 	if len(owners) == 0 {
-		return tsdb.ExecResult{}, nil, fmt.Errorf("cluster: empty ring")
+		return tsdb.ExecResult{}, fmt.Errorf("cluster: empty ring")
 	}
 	tr := obs.TraceFrom(ctx)
-	var attempts []routeAttempt
 	var noDB *tsdb.ExecResult
 	var lastErr error
 	for i, id := range q.c.readOrder(owners) {
 		if err := ctx.Err(); err != nil {
-			return tsdb.ExecResult{}, attempts, err
+			return tsdb.ExecResult{}, err
 		}
 		if i > 0 {
 			q.c.readFailovers.Add(1)
 		}
 		sp := tr.Start("cluster.query.node").Attr("peer", id)
-		t0 := time.Now()
 		res, err := q.queryNode(ctx, id, req, st)
-		at := routeAttempt{node: id, durNS: int64(time.Since(t0)), status: "ok"}
-		if err != nil {
-			at.status = err.Error()
-			sp.Attr("error", err.Error())
-		} else if isNoDatabase(res) {
-			at.status = "no-database"
-		}
-		sp.End()
-		attempts = append(attempts, at)
-		if err != nil {
+		switch {
+		case err != nil:
+			sp.Attr("status", err.Error()).End()
 			lastErr = err
 			continue
-		}
-		if isNoDatabase(res) {
+		case isNoDatabase(res):
+			sp.Attr("status", "no-database").End()
 			noDB = &res
 			continue
 		}
-		return res, attempts, nil
+		sp.Attr("status", "ok").End()
+		return res, nil
 	}
 	if noDB != nil {
 		// Every reachable replica lacks the database: same answer a single
 		// node would give.
-		return *noDB, attempts, nil
+		return *noDB, nil
 	}
-	return tsdb.ExecResult{}, attempts, fmt.Errorf("cluster: all %d replicas failed: %w", len(owners), lastErr)
+	return tsdb.ExecResult{}, fmt.Errorf("cluster: all %d replicas failed: %w", len(owners), lastErr)
 }
 
 // execExplainAnalyze routes EXPLAIN ANALYZE exactly like the SELECT it
 // wraps — the chosen replica executes it and returns the SELECT's series
 // plus its storage-side profile — and appends the coordinator's routing
-// profile as one more series: the chosen replica and every attempt's
-// timing (DESIGN.md §14).
+// profile as one more series, rendered from the cluster.query.node spans
+// the route recorded on a fork of the request's trace: the chosen replica
+// and every attempt's timing (DESIGN.md §14).
 func (q *DistributedQuerier) execExplainAnalyze(ctx context.Context, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, error) {
-	res, attempts, err := q.execRoutedProf(ctx, req, st)
+	parent := obs.TraceFrom(ctx)
+	tr := parent.Fork()
+	defer parent.Join(tr)
+	res, err := q.execRouted(obs.WithTrace(ctx, tr), req, st)
 	if err != nil {
 		return tsdb.ExecResult{}, err
+	}
+	var attempts []obs.SpanData
+	for _, sp := range tr.Spans() {
+		if sp.Name == "cluster.query.node" {
+			attempts = append(attempts, sp)
+		}
+	}
+	chosen := ""
+	if n := len(attempts); n > 0 && attempts[n-1].Attr("status") == "ok" {
+		chosen = attempts[n-1].Attr("peer")
 	}
 	s := tsdb.ResultSeries{
 		Name:    tsdb.ExplainClusterSeriesName,
 		Columns: []string{"metric", "value"},
+		Values: [][]interface{}{
+			{"replication", q.c.cfg.Replication},
+			{"chosen_replica", chosen},
+			{"attempts", len(attempts)},
+		},
 	}
-	chosen := ""
-	if n := len(attempts); n > 0 && attempts[n-1].status == "ok" {
-		chosen = attempts[n-1].node
-	}
-	s.Values = append(s.Values,
-		[]interface{}{"replication", q.c.cfg.Replication},
-		[]interface{}{"chosen_replica", chosen},
-		[]interface{}{"attempts", len(attempts)},
-	)
 	for i, at := range attempts {
 		p := "attempt_" + strconv.Itoa(i+1)
 		s.Values = append(s.Values,
-			[]interface{}{p + "_node", at.node},
-			[]interface{}{p + "_ns", at.durNS},
-			[]interface{}{p + "_status", at.status},
+			[]interface{}{p + "_node", at.Attr("peer")},
+			[]interface{}{p + "_ns", at.DurNS},
+			[]interface{}{p + "_status", at.Attr("status")},
 		)
 	}
 	res.Series = append(res.Series, s)

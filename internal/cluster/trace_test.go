@@ -306,3 +306,67 @@ func TestClusterExplainAnalyzeFailover(t *testing.T) {
 		t.Fatalf("dead first attempt reported ok: %v", vals)
 	}
 }
+
+// TestClusterExplainAnalyzeUntraced: with tracing off on the coordinating
+// node, EXPLAIN ANALYZE records into a private trace — the routing
+// profile still names the chosen replica and every attempt — and nothing
+// reaches the coordinator's ring or leaves it as a trace id.
+func TestClusterExplainAnalyzeUntraced(t *testing.T) {
+	h := newHarness(t, Config{Replication: 2, WriteQuorum: 1})
+	h.seed(t)
+	rings := traceRings(h)
+	// Coordinate on the one node that owns no cpu replica, so the
+	// statement crosses the wire to a replica.
+	owners := map[string]bool{}
+	for _, id := range h.coord.owners("lms", "cpu") {
+		owners[id] = true
+	}
+	var coord string
+	for _, url := range h.peers {
+		if !owners[url] {
+			coord = url
+		}
+	}
+	rings[coord].SetEnabled(false)
+
+	client := &tsdb.Client{BaseURL: coord, Database: "lms"}
+	got, err := client.Query(context.Background(), tsdb.Request{RawQuery: "EXPLAIN ANALYZE SELECT mean(value) FROM cpu GROUP BY hostname"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Err() != nil {
+		t.Fatal(got.Err())
+	}
+	var routing *tsdb.ResultSeries
+	for i, s := range got.Results[0].Series {
+		if s.Name == tsdb.ExplainClusterSeriesName {
+			routing = &got.Results[0].Series[i]
+		}
+	}
+	if routing == nil {
+		t.Fatalf("no routing profile: %+v", got.Results[0].Series)
+	}
+	vals := map[string]interface{}{}
+	for _, row := range routing.Values {
+		vals[row[0].(string)] = row[1]
+	}
+	chosen, _ := vals["chosen_replica"].(string)
+	if h.nodes[chosen] == nil {
+		t.Fatalf("chosen_replica %q not a cluster member (profile %v)", chosen, vals)
+	}
+	if vals["attempt_1_node"] != chosen || vals["attempt_1_status"] != "ok" {
+		t.Fatalf("attempt rows %v", vals)
+	}
+	if ns, _ := tsdb.FloatValue(vals["attempt_1_ns"]); ns <= 0 {
+		t.Fatalf("attempt_1_ns %v", vals["attempt_1_ns"])
+	}
+	if n := len(rings[coord].Snapshot(0, 0)); n != 0 {
+		t.Fatalf("coordinator recorded %d traces with tracing off", n)
+	}
+	// The replica got no upstream id, so it traced the request under an
+	// id of its own.
+	served := rings[chosen].Snapshot(0, 0)
+	if len(served) != 1 || served[0].ID == "" || served[0].Name != "tsdb.query" {
+		t.Fatalf("chosen replica traces %+v", served)
+	}
+}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"repro/internal/hpm"
 	"repro/internal/jobsched"
 	"repro/internal/lineproto"
+	"repro/internal/router"
 	"repro/internal/tsdb"
 	"repro/internal/workload"
 )
@@ -368,6 +372,47 @@ func TestStackDurableRestart(t *testing.T) {
 	res, err := stack2.DB.Select(tsdb.Query{Measurement: "cpu"})
 	if err != nil || len(res) == 0 {
 		t.Fatalf("Select after restart: %v, %v", res, err)
+	}
+}
+
+// TestStackPerUserOpenFailureDrops: with DataDir set, a per-user database
+// whose durable open fails must not fall back to memory, where acked
+// points would vanish on restart. Its job's points count as dropped and
+// no memory-only user database answers queries.
+func TestStackPerUserOpenFailureDrops(t *testing.T) {
+	dir := t.TempDir()
+	// A regular file where the database directory belongs blocks the open.
+	if err := os.WriteFile(filepath.Join(dir, "user_alice"), []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stack, err := NewStack(StackConfig{DataDir: dir, FsyncPolicy: "batch", PerUserDBs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close()
+	if err := stack.Router.JobStart(router.JobSignal{JobID: "42", User: "alice", Nodes: []string{"node01"}}); err != nil {
+		t.Fatal(err)
+	}
+	_, _, before := stack.Router.Stats()
+	if err := stack.Router.IngestBatch([]byte("cpu,hostname=node01 percent=93.5 1600000000000000000\n")); err != nil {
+		t.Fatalf("primary ingest failed: %v", err)
+	}
+	if _, _, dropped := stack.Router.Stats(); dropped-before != 1 {
+		t.Fatalf("dropped %d user points, want 1", dropped-before)
+	}
+	if got := stack.DB.PointCount(); got == 0 {
+		t.Fatal("primary database lost the point")
+	}
+	if stack.Store.DB("user_alice") != nil {
+		t.Fatal("a memory-only user_alice was registered")
+	}
+	rsp, err := tsdb.LocalQuerier{Store: stack.Store}.Query(context.Background(),
+		tsdb.Request{Database: "user_alice", RawQuery: "SELECT * FROM cpu"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rsp.Err() == nil {
+		t.Fatalf("user_alice answered queries: %+v", rsp)
 	}
 }
 

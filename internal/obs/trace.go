@@ -16,6 +16,11 @@ package obs
 // Start/Attr/End/Finish on a nil *Trace or *Span is a no-op that
 // performs zero allocations — the hot paths carry bare pointer tests,
 // not branches on configuration.
+//
+// Spans are also the one per-query recorder behind EXPLAIN ANALYZE: the
+// statement records into a Fork of its request's trace and renders its
+// profile from the fork's Spans, so the profile and the published trace
+// are the same measurements.
 
 import (
 	"context"
@@ -51,7 +56,8 @@ type Span struct {
 }
 
 // Trace is one in-flight request being recorded. Create through
-// TraceRing.StartTrace; a nil *Trace is a valid no-op recorder.
+// TraceRing.StartTrace (or Trace.Fork); a nil *Trace is a valid no-op
+// recorder.
 type Trace struct {
 	id   string
 	name string
@@ -113,7 +119,7 @@ func (s *Span) End() {
 
 // Finish completes the trace and publishes it to its ring. Spans still
 // open are closed at the finish time. Finishing twice (or finishing a
-// nil trace) is a no-op.
+// nil or ring-less trace) is a no-op.
 func (t *Trace) Finish() {
 	if t == nil || t.ring == nil {
 		return
@@ -125,29 +131,74 @@ func (t *Trace) Finish() {
 		return
 	}
 	t.done = true
-	spans := t.spans
 	t.mu.Unlock()
-	d := TraceData{
+	t.ring.push(TraceData{
 		ID:         t.id,
 		Name:       t.name,
 		StartUnix:  t.startNS,
 		DurationNS: endNS - t.startNS,
+		Spans:      t.spanData(endNS),
+	})
+}
+
+// Fork returns a ring-less trace that records the spans of one
+// sub-operation apart from t, so the caller can read exactly those spans
+// (Spans) before handing them back with Join. The fork keeps t's id, so
+// requests made under it still propagate t's trace. Forking a nil trace
+// yields a private trace: empty id (no X-Lms-Trace header is sent),
+// never published.
+func (t *Trace) Fork() *Trace {
+	f := &Trace{startNS: time.Now().UnixNano()}
+	if t != nil {
+		f.id, f.name = t.id, t.name
 	}
+	return f
+}
+
+// Join moves the spans recorded on fork f into t, where Finish publishes
+// them with t's own. Nil-safe on both sides.
+func (t *Trace) Join(f *Trace) {
+	if t == nil || f == nil {
+		return
+	}
+	f.mu.Lock()
+	spans := f.spans
+	f.spans = nil
+	f.mu.Unlock()
+	t.mu.Lock()
+	t.spans = append(t.spans, spans...)
+	t.mu.Unlock()
+}
+
+// Spans returns the spans recorded so far, sorted by start time, with
+// offsets from the trace start; spans still open end now. Nil-safe.
+func (t *Trace) Spans() []SpanData {
+	if t == nil {
+		return nil
+	}
+	return t.spanData(time.Now().UnixNano())
+}
+
+// spanData renders the recorded spans, closing open ones at endNS.
+func (t *Trace) spanData(endNS int64) []SpanData {
+	t.mu.Lock()
+	spans := t.spans
+	t.mu.Unlock()
+	var out []SpanData
 	for _, sp := range spans {
-		sd := SpanData{
-			Name:    sp.name,
-			StartNS: sp.startNS - t.startNS,
-		}
 		end := sp.endNS
 		if end == 0 {
 			end = endNS
 		}
-		sd.DurNS = end - sp.startNS
-		sd.Attrs = sp.attrs
-		d.Spans = append(d.Spans, sd)
+		out = append(out, SpanData{
+			Name:    sp.name,
+			StartNS: sp.startNS - t.startNS,
+			DurNS:   end - sp.startNS,
+			Attrs:   sp.attrs,
+		})
 	}
-	sort.SliceStable(d.Spans, func(i, j int) bool { return d.Spans[i].StartNS < d.Spans[j].StartNS })
-	t.ring.push(d)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].StartNS < out[j].StartNS })
+	return out
 }
 
 // TraceData is one completed trace as stored in the ring and rendered on
@@ -170,7 +221,7 @@ type SpanData struct {
 }
 
 // Attr returns the value of the first attribute with that key ("" when
-// absent) — a test convenience.
+// absent).
 func (s SpanData) Attr(key string) string {
 	for _, a := range s.Attrs {
 		if a.Key == key {

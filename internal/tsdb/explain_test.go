@@ -192,6 +192,103 @@ func TestExplainAnalyzeProfile(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeMatchesTrace: EXPLAIN ANALYZE and the request's
+// trace report the same numbers because they are the same spans. On a
+// store holding both compressed and raw runs, a traced EXPLAIN publishes
+// snapshot/execute spans whose counters equal the explain_analyze rows,
+// and whose durations are the phase_*_ns rows.
+func TestExplainAnalyzeMatchesTrace(t *testing.T) {
+	store := seedStore(t)
+	db := store.DB("lms")
+	db.SetQueryCacheTTL(0)
+	if db.Compress() == 0 {
+		t.Fatal("nothing compressed")
+	}
+	for i := 0; i < 6; i++ {
+		host := []string{"h1", "h2", "h3"}[i%3]
+		if err := db.WritePoint(pt("cpu", map[string]string{"hostname": host}, float64(i), int64(20+i)*time.Second.Nanoseconds())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ring := obs.NewTraceRing(4)
+	qr := LocalQuerier{Store: store}
+
+	for _, sel := range []string{
+		"SELECT mean(value) FROM cpu GROUP BY hostname",
+		"SELECT value FROM cpu WHERE time >= 20s",
+	} {
+		tr := ring.StartTrace("test", "")
+		rsp, err := qr.Query(obs.WithTrace(context.Background(), tr), Request{Database: "lms", RawQuery: "EXPLAIN ANALYZE " + sel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		_, profiles := stripExplain(rsp)
+		if len(profiles) != 1 {
+			t.Fatalf("%q: profiles %+v", sel, profiles)
+		}
+		prof := profiles[0]
+		d, ok := ring.Find(tr.ID())
+		if !ok {
+			t.Fatalf("%q: trace not published", sel)
+		}
+		spans := map[string]obs.SpanData{}
+		for _, sp := range d.Spans {
+			spans[sp.Name] = sp
+		}
+		snap, exec := spans["tsdb.select.snapshot"], spans["tsdb.select.execute"]
+		for _, c := range []struct {
+			sp  obs.SpanData
+			key string
+		}{
+			{snap, "runs_scanned"}, {snap, "runs_pruned"}, {snap, "points_examined"}, {exec, "chunks_decoded"},
+		} {
+			attr := c.sp.Attr(c.key)
+			if attr == "" {
+				t.Fatalf("%q: span %q lacks %s: %+v", sel, c.sp.Name, c.key, d.Spans)
+			}
+			if row := fmt.Sprint(explainCount(t, prof, c.key)); row != attr {
+				t.Fatalf("%q: %s is %s in EXPLAIN, %s in the trace", sel, c.key, row, attr)
+			}
+		}
+		for key, name := range map[string]string{
+			"phase_snapshot_ns": "tsdb.select.snapshot",
+			"phase_execute_ns":  "tsdb.select.execute",
+			"phase_total_ns":    "tsdb.select",
+		} {
+			sp, ok := spans[name]
+			if !ok {
+				t.Fatalf("%q: trace lacks span %s: %+v", sel, name, d.Spans)
+			}
+			if got := explainCount(t, prof, key); got != sp.DurNS {
+				t.Fatalf("%q: %s = %d, span %s lasted %d", sel, key, got, name, sp.DurNS)
+			}
+		}
+	}
+
+	// The first query read every run, compressed ones included; the
+	// second pruned the compressed history on its time bound.
+	prof := func(sel string) ResultSeries {
+		rsp, err := qr.Query(context.Background(), Request{Database: "lms", RawQuery: "EXPLAIN ANALYZE " + sel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, profiles := stripExplain(rsp)
+		return profiles[0]
+	}
+	all := prof("SELECT mean(value) FROM cpu GROUP BY hostname")
+	if explainCount(t, all, "chunks_decoded") == 0 || explainCount(t, all, "runs_scanned") < 5 {
+		t.Fatalf("full scan profile %+v", all.Values)
+	}
+	recent := prof("SELECT value FROM cpu WHERE time >= 20s")
+	if explainCount(t, recent, "runs_pruned") == 0 || explainCount(t, recent, "chunks_decoded") != 0 {
+		t.Fatalf("time-bounded profile %+v", recent.Values)
+	}
+	if len(ring.Snapshot(0, 0)) != 2 {
+		t.Fatal("an untraced EXPLAIN published its private trace")
+	}
+}
+
 // TestHandlerTracesQuery pins in-process trace recording on the HTTP
 // surface: a /query carrying an upstream X-Lms-Trace id lands in the
 // store's ring under that id with the handler and engine spans, and

@@ -9,6 +9,7 @@ import (
 	"unicode"
 
 	"repro/internal/lineproto"
+	"repro/internal/obs"
 )
 
 // This file implements the InfluxQL subset that the LMS components issue:
@@ -861,41 +862,61 @@ const (
 	ExplainClusterSeriesName = "explain_analyze_cluster"
 )
 
-// executeExplainAnalyze runs the wrapped SELECT with a profile attached and
-// appends the profile as one extra series. The SELECT's own series are
-// rendered exactly as a bare SELECT would render them.
+// executeExplainAnalyze runs the wrapped SELECT on a fork of the
+// request's trace (a private one when the request is untraced) and
+// appends the engine spans it recorded as one extra series. The SELECT's
+// own series are rendered exactly as a bare SELECT would render them,
+// and the spans join the request's trace, so a traced EXPLAIN publishes
+// the very numbers it returns.
 func executeExplainAnalyze(ctx context.Context, db *DB, st Statement, opts ExecOptions) (ExecResult, error) {
-	prof := &selectProf{}
+	parent := obs.TraceFrom(ctx)
+	tr := parent.Fork()
+	defer parent.Join(tr)
 	sel := st
 	sel.Kind = StmtSelect
-	res, err := executeSelect(withProf(ctx, prof), db, sel, opts)
+	res, err := executeSelect(obs.WithTrace(ctx, tr), db, sel, opts)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	res.Series = append(res.Series, prof.resultSeries())
+	res.Series = append(res.Series, selectProfile(tr.Spans()))
 	return res, nil
 }
 
-// resultSeries renders the profile as a metric/value series.
-func (p *selectProf) resultSeries() ResultSeries {
-	cache := "miss"
-	if p.CacheHit {
-		cache = "hit"
+// selectProfile renders the spans of one SelectContext call as the
+// explain_analyze metric/value series. A phase that did not run (the
+// engine phases on a cache hit) reports zeros.
+func selectProfile(spans []obs.SpanData) ResultSeries {
+	byName := make(map[string]obs.SpanData, len(spans))
+	for _, sp := range spans {
+		byName[sp.Name] = sp
+	}
+	sel, cache := byName["tsdb.select"], byName["tsdb.select.cache"]
+	snap, exec := byName["tsdb.select.snapshot"], byName["tsdb.select.execute"]
+	shards, hit := 0, "miss"
+	if snap.Name != "" {
+		shards = 1 // one lock domain per measurement
+	}
+	if cache.Attr("hit") == "true" {
+		hit = "hit"
+	}
+	count := func(sp obs.SpanData, key string) int64 {
+		n, _ := strconv.ParseInt(sp.Attr(key), 10, 64)
+		return n
 	}
 	return ResultSeries{
 		Name:    ExplainSeriesName,
 		Columns: []string{"metric", "value"},
 		Values: [][]interface{}{
-			{"shards_visited", p.ShardsVisited},
-			{"runs_scanned", p.RunsScanned},
-			{"runs_pruned", p.RunsPruned},
-			{"chunks_decoded", p.ChunksDecoded},
-			{"points_examined", p.PointsExamined},
-			{"cache", cache},
-			{"phase_cache_lookup_ns", p.CacheLookupNS},
-			{"phase_snapshot_ns", p.SnapshotNS},
-			{"phase_execute_ns", p.ExecuteNS},
-			{"phase_total_ns", p.TotalNS},
+			{"shards_visited", shards},
+			{"runs_scanned", int(count(snap, "runs_scanned"))},
+			{"runs_pruned", int(count(snap, "runs_pruned"))},
+			{"chunks_decoded", int(count(exec, "chunks_decoded"))},
+			{"points_examined", count(snap, "points_examined")},
+			{"cache", hit},
+			{"phase_cache_lookup_ns", cache.DurNS},
+			{"phase_snapshot_ns", snap.DurNS},
+			{"phase_execute_ns", exec.DurNS},
+			{"phase_total_ns", sel.DurNS},
 		},
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/lineproto"
+	"repro/internal/obs"
 )
 
 // colView is the read-only window one snapshotted run exposes over one
@@ -147,10 +148,10 @@ func (g *selectGroup) hasComp() bool {
 // returned strs slice resolves interned string ids (append-only on the
 // writer side, so the header stays valid outside the lock).
 //
-// prof, when non-nil (EXPLAIN ANALYZE, profile.go), counts the runs
-// admitted vs pruned on time bounds and the rows examined; nil — every
-// ordinary query — costs one predictable branch per run.
-func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]string, []string, []*selectGroup, error) {
+// The runs admitted vs pruned on time bounds and the rows examined are
+// counted locally and put on sp, the phase's trace span (a no-op when
+// the query is untraced).
+func (db *DB) snapshotSelect(q Query, sp *obs.Span) ([]string, []string, []*selectGroup, error) {
 	startNS, endNS := rangeNS(q.Start, q.End)
 	// Raw all-column queries return at most Limit rows per result series,
 	// and every stored row carries at least one field (Validate enforces
@@ -181,6 +182,7 @@ func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]string, []string, []*
 	}
 	strs := m.strs.vals
 	runs := make([]seriesRun, 0, len(m.series))
+	var scanned, pruned, examined int64
 	for key, sr := range m.series {
 		if !q.Filter.matches(sr.tags) {
 			continue
@@ -193,35 +195,25 @@ func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]string, []string, []*
 				// that a bounds-overlapping run holds no row in range)
 				// happens at decode time in phase 2.
 				if c.minTS > endNS || c.maxTS < startNS {
-					if prof != nil {
-						prof.RunsPruned++
-					}
+					pruned++
 					continue
 				}
-				if prof != nil {
-					prof.RunsScanned++
-					prof.PointsExamined += int64(c.n)
-				}
+				scanned++
+				examined += int64(c.n)
 				runs = append(runs, seriesRun{key: key, tags: sr.tags, snap: runSnap{comp: c}})
 				continue
 			}
 			lo := sort.Search(len(run.ts), func(i int) bool { return run.ts[i] >= startNS })
 			hi := sort.Search(len(run.ts), func(i int) bool { return run.ts[i] > endNS })
 			if lo >= hi {
-				if prof != nil {
-					prof.RunsPruned++
-				}
+				pruned++
 				continue
 			}
-			if prof != nil {
-				prof.RunsScanned++
-			}
+			scanned++
 			if rawLimit > 0 && hi-lo > rawLimit {
 				hi = lo + rawLimit
 			}
-			if prof != nil {
-				prof.PointsExamined += int64(hi - lo)
-			}
+			examined += int64(hi - lo)
 			snap := runSnap{ts: run.ts[lo:hi], cols: make([]colView, len(cols))}
 			for ci, name := range cols {
 				rci := run.colByName(name)
@@ -250,6 +242,7 @@ func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]string, []string, []*
 		}
 	}
 	sh.mu.RUnlock()
+	sp.AttrInt("runs_scanned", scanned).AttrInt("runs_pruned", pruned).AttrInt("points_examined", examined)
 
 	// Everything below operates on immutable snapshots, outside the lock.
 	// The sort must be stable: runs of one series keep their creation order,
@@ -286,23 +279,24 @@ func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]string, []string, []*
 // before it starts aggregating, so cancellation is observed at
 // run-aggregation-task granularity: the task in flight finishes, the rest
 // never start.
-func (db *DB) executeGroups(ctx context.Context, q Query, cols, strs []string, groups []*selectGroup, prof *selectProf) ([]Series, error) {
+//
+// The decode work is counted up front, before the fan-out, and put on
+// sp, the phase's trace span: every compressed run admitted by phase 1
+// is decoded by materializeGroup (one timestamp chunk plus one per
+// column), so the count needs no atomics inside the workers.
+func (db *DB) executeGroups(ctx context.Context, q Query, cols, strs []string, groups []*selectGroup, sp *obs.Span) ([]Series, error) {
 	if len(groups) == 0 {
 		return nil, nil
 	}
-	if prof != nil {
-		// Count the decode work up front, before the fan-out: every
-		// compressed run admitted by phase 1 is decoded by
-		// materializeGroup (one timestamp chunk plus one per column), so
-		// the profile needs no atomics inside the workers.
-		for _, g := range groups {
-			for i := range g.runs {
-				if c := g.runs[i].comp; c != nil {
-					prof.ChunksDecoded += 1 + len(c.cols)
-				}
+	var chunks int64
+	for _, g := range groups {
+		for i := range g.runs {
+			if c := g.runs[i].comp; c != nil {
+				chunks += 1 + int64(len(c.cols))
 			}
 		}
 	}
+	sp.AttrInt("chunks_decoded", chunks)
 	out := make([]Series, len(groups))
 	// drop[i] marks a group whose runs all decoded to zero in-range rows:
 	// phase 1 admitted its compressed runs on chunk time bounds alone, but

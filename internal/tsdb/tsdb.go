@@ -1180,70 +1180,33 @@ func (db *DB) Select(q Query) ([]Series, error) {
 // finishing aggregation nobody will read. A cancelled query returns the
 // context's error and stores nothing in the result cache.
 //
-// A context carrying a trace (obs.WithTrace) gets per-phase spans, and
-// one carrying a profile collector (withProf — EXPLAIN ANALYZE) gets the
-// engine's scan/decode/cache counters and phase timings. Both lookups
-// are zero-allocation no-ops on ordinary queries.
+// A context carrying a trace (obs.WithTrace) gets one span per phase,
+// and the snapshot and execute spans carry the engine's scan/decode
+// counters — the spans EXPLAIN ANALYZE renders (influxql.go). On an
+// untraced context every span call is a zero-allocation no-op.
 func (db *DB) SelectContext(ctx context.Context, q Query) ([]Series, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	prof := profFrom(ctx)
 	tr := obs.TraceFrom(ctx)
-	if prof == nil && tr == nil {
-		// The untraced hot path: no timestamps, no spans, no counters.
-		res, ref, ok := db.qcache.lookup(db, q)
-		if ok {
-			return res, nil
-		}
-		cols, strs, groups, err := db.snapshotSelect(q, nil)
-		if err != nil {
-			return nil, err
-		}
-		out, err := db.executeGroups(ctx, q, cols, strs, groups, nil)
-		if err != nil {
-			return nil, err
-		}
-		db.qcache.store(db, ref, out)
-		return out, nil
-	}
-
 	sp := tr.Start("tsdb.select").Attr("db", db.name).Attr("measurement", q.Measurement)
 	defer sp.End()
-	t0 := time.Now()
 	csp := tr.Start("tsdb.select.cache")
 	res, ref, ok := db.qcache.lookup(db, q)
 	csp.Attr("hit", strconv.FormatBool(ok)).End()
-	if prof != nil {
-		prof.CacheLookupNS = sinceNS(t0)
-		prof.CacheHit = ok
-	}
 	if ok {
-		if prof != nil {
-			prof.TotalNS = sinceNS(t0)
-		}
 		sp.Attr("cache", "hit")
 		return res, nil
 	}
-	t1 := time.Now()
 	ssp := tr.Start("tsdb.select.snapshot")
-	cols, strs, groups, err := db.snapshotSelect(q, prof)
+	cols, strs, groups, err := db.snapshotSelect(q, ssp)
 	ssp.End()
-	if prof != nil {
-		prof.SnapshotNS = sinceNS(t1)
-		prof.ShardsVisited = 1
-	}
 	if err != nil {
 		return nil, err
 	}
-	t2 := time.Now()
 	esp := tr.Start("tsdb.select.execute").AttrInt("groups", int64(len(groups)))
-	out, err := db.executeGroups(ctx, q, cols, strs, groups, prof)
+	out, err := db.executeGroups(ctx, q, cols, strs, groups, esp)
 	esp.End()
-	if prof != nil {
-		prof.ExecuteNS = sinceNS(t2)
-		prof.TotalNS = sinceNS(t0)
-	}
 	if err != nil {
 		return nil, err
 	}
