@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1367,14 +1368,23 @@ func BenchmarkE5_ClusterIngest(b *testing.B) {
 
 // BenchmarkE6_ScatterGatherQuery measures the distributed read path over
 // a seeded cluster: a routed aggregation (one owner replica answers
-// whole) and a fanned metadata union across all nodes.
+// whole), a fanned metadata union across all nodes, and a batched request
+// of 16 SELECTs over the 8 measurements, routed as one sub-request per
+// owner replica.
 func BenchmarkE6_ScatterGatherQuery(b *testing.B) {
 	clu := benchCluster(b, 4000)
 	qr := clu.Querier()
 	ctx := context.Background()
+	var batch []string
+	for m := 0; m < 8; m++ {
+		batch = append(batch,
+			fmt.Sprintf("SELECT mean(value) FROM cpu%d GROUP BY time(60s), hostname", m),
+			fmt.Sprintf("SELECT max(value) FROM cpu%d WHERE hostname = 'h%d'", m, m))
+	}
 	cases := []struct{ name, q string }{
 		{"routed-agg", "SELECT mean(value) FROM cpu3 GROUP BY time(60s), hostname"},
 		{"fan-union", "SHOW MEASUREMENTS"},
+		{"batched", strings.Join(batch, "; ")},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

@@ -115,32 +115,56 @@ func (e *Evaluator) rules() []Rule {
 	return DefaultRules()
 }
 
-// series fetches one node's metric timeline within the job window through
-// the query API. Timestamps are requested as nanosecond epochs, so both the
-// local and the remote querier return them without a string formatting
-// round-trip. A missing measurement is no data (nil, nil); a failed query —
-// unreachable remote database, cancelled context — is an error, so a
-// broken connection cannot masquerade as a clean job.
-func (e *Evaluator) series(ctx context.Context, node, measurement, field string, start, end time.Time) ([]TimedValue, error) {
-	st := tsdb.SelectStatement(tsdb.Query{
-		Measurement: measurement,
-		Start:       start,
-		End:         end,
-		Filter:      tsdb.TagFilter{"hostname": node},
-	}, tsdb.AggCol{Field: field})
+// timeline names one node's metric timeline within the job window.
+type timeline struct {
+	measurement, field, node string
+}
+
+// fetch retrieves every distinct timeline of keys in ONE request — one
+// HTTP round trip against a remote querier — each as its own statement,
+// so every timeline keeps its own result. Timestamps are requested as
+// nanosecond epochs, so both the local and the remote querier return them
+// without a string formatting round-trip. A missing measurement is no
+// data (a nil timeline); a failed query — unreachable remote database,
+// cancelled context, a statement error — is an error naming the first
+// affected timeline in keys order, so a broken connection cannot
+// masquerade as a clean job.
+func (e *Evaluator) fetch(ctx context.Context, keys []timeline, start, end time.Time) (map[timeline][]TimedValue, error) {
+	out := make(map[timeline][]TimedValue, len(keys))
+	var order []timeline
+	var stmts []tsdb.Statement
+	for _, k := range keys {
+		if _, dup := out[k]; dup {
+			continue
+		}
+		out[k] = nil
+		order = append(order, k)
+		stmts = append(stmts, tsdb.SelectStatement(tsdb.Query{
+			Measurement: k.measurement,
+			Start:       start,
+			End:         end,
+			Filter:      tsdb.TagFilter{"hostname": k.node},
+		}, tsdb.AggCol{Field: k.field}))
+	}
+	fail := func(k timeline, err error) error {
+		return fmt.Errorf("analysis: %s.%s on %s: %w", k.measurement, k.field, k.node, err)
+	}
 	resp, err := e.Querier.Query(ctx, tsdb.Request{
 		Database:   e.Database,
-		Statements: []tsdb.Statement{st},
+		Statements: stmts,
 		Epoch:      "ns",
 	})
-	if err == nil {
-		err = resp.Err()
+	if err == nil && len(resp.Results) != len(stmts) {
+		err = fmt.Errorf("%d statements produced %d results", len(stmts), len(resp.Results))
 	}
 	if err != nil {
-		return nil, fmt.Errorf("analysis: %s.%s on %s: %w", measurement, field, node, err)
+		return nil, fail(order[0], err)
 	}
-	var out []TimedValue
-	for _, res := range resp.Results {
+	for i, res := range resp.Results {
+		if err := (tsdb.Response{Results: resp.Results[i : i+1]}).Err(); err != nil {
+			return nil, fail(order[i], err)
+		}
+		var tl []TimedValue
 		for _, s := range res.Series {
 			for _, row := range s.Values {
 				if len(row) < 2 || row[1] == nil {
@@ -154,13 +178,17 @@ func (e *Evaluator) series(ctx context.Context, node, measurement, field string,
 				if err != nil {
 					continue
 				}
-				out = append(out, TimedValue{T: t, V: v})
+				tl = append(tl, TimedValue{T: t, V: v})
 			}
 		}
+		sort.Slice(tl, func(i, j int) bool { return tl[i].T.Before(tl[j].T) })
+		out[order[i]] = tl
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].T.Before(out[j].T) })
 	return out, nil
 }
+
+// The BRANCH group field the pattern tree reads.
+const branchMeasurement, branchField = "likwid_branch", "branch_misprediction_ratio"
 
 func mean(series []TimedValue) float64 {
 	if len(series) == 0 {
@@ -180,8 +208,9 @@ func (e *Evaluator) Evaluate(job JobMeta) (*Report, error) {
 }
 
 // EvaluateContext builds the report for a job. Every metric and rule
-// timeline is fetched through the evaluator's Querier under ctx, so a
-// cancelled dashboard request stops the evaluation mid-way.
+// timeline is fetched through the evaluator's Querier under ctx in one
+// request (fetch), so a view pays one round trip for its evaluation and a
+// cancelled dashboard request stops it.
 func (e *Evaluator) EvaluateContext(ctx context.Context, job JobMeta) (*Report, error) {
 	if e.Querier == nil {
 		return nil, fmt.Errorf("analysis: evaluator has no querier")
@@ -197,10 +226,28 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, job JobMeta) (*Report, 
 			end = time.Now()
 		}
 	}
+	specs, rules := e.specs(), e.rules()
+	var keys []timeline
+	add := func(measurement, field string) {
+		for _, node := range job.Nodes {
+			keys = append(keys, timeline{measurement, field, node})
+		}
+	}
+	for _, spec := range specs {
+		add(spec.Measurement, spec.Field)
+	}
+	for _, rule := range rules {
+		add(rule.Measurement, rule.Field)
+	}
+	add(branchMeasurement, branchField)
+	series, err := e.fetch(ctx, keys, job.Start, end)
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{Job: job}
 
 	// Metric rows.
-	for _, spec := range e.specs() {
+	for _, spec := range specs {
 		scale := spec.Scale
 		if scale == 0 {
 			scale = 1
@@ -208,11 +255,7 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, job JobMeta) (*Report, 
 		row := MetricRow{Spec: spec, PerNode: make(map[string]float64, len(job.Nodes))}
 		var present []float64
 		for _, node := range job.Nodes {
-			s, err := e.series(ctx, node, spec.Measurement, spec.Field, job.Start, end)
-			if err != nil {
-				return nil, err
-			}
-			v := mean(s) * scale
+			v := mean(series[timeline{spec.Measurement, spec.Field, node}]) * scale
 			row.PerNode[node] = v
 			if !math.IsNaN(v) {
 				present = append(present, v)
@@ -223,13 +266,9 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, job JobMeta) (*Report, 
 	}
 
 	// Rule violations per node.
-	for _, rule := range e.rules() {
+	for _, rule := range rules {
 		for _, node := range job.Nodes {
-			series, err := e.series(ctx, node, rule.Measurement, rule.Field, job.Start, end)
-			if err != nil {
-				return nil, err
-			}
-			for _, v := range Detect(rule, series) {
+			for _, v := range Detect(rule, series[timeline{rule.Measurement, rule.Field, node}]) {
 				rep.Violations = append(rep.Violations, NodeViolation{Node: node, Violation: v})
 			}
 		}
@@ -242,9 +281,12 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, job JobMeta) (*Report, 
 	})
 
 	// Pattern classification from the aggregated rows.
-	in, err := e.patternInput(ctx, rep, job, end)
-	if err != nil {
-		return nil, err
+	in := e.patternInput(rep)
+	for _, node := range job.Nodes {
+		// Branch data comes from the BRANCH group when collected.
+		if s := series[timeline{branchMeasurement, branchField, node}]; len(s) > 0 {
+			in.BranchMissRatio = math.Max(in.BranchMissRatio, mean(s))
+		}
 	}
 	rep.Classification = Classify(in)
 	return rep, nil
@@ -260,7 +302,7 @@ func (r *Report) rowByField(measurement, field string) (MetricRow, bool) {
 	return MetricRow{}, false
 }
 
-func (e *Evaluator) patternInput(ctx context.Context, rep *Report, job JobMeta, end time.Time) (PatternInput, error) {
+func (e *Evaluator) patternInput(rep *Report) PatternInput {
 	in := PatternInput{PeakMemBWMBs: e.PeakMemBWMBs, PeakDPMFlops: e.PeakDPMFlops}
 	if row, ok := rep.rowByField("cpu", "percent"); ok {
 		in.CPUUtil = row.Stats.Mean / 100
@@ -281,17 +323,7 @@ func (e *Evaluator) patternInput(ctx context.Context, rep *Report, job JobMeta, 
 	if row, ok := rep.rowByField("likwid_mem_dp", "memory_bandwidth_mbytes_s"); ok {
 		in.MemBWMBs = row.Stats.Mean
 	}
-	// Branch data comes from the BRANCH group when collected.
-	for _, node := range job.Nodes {
-		s, err := e.series(ctx, node, "likwid_branch", "branch_misprediction_ratio", job.Start, end)
-		if err != nil {
-			return PatternInput{}, err
-		}
-		if len(s) > 0 {
-			in.BranchMissRatio = math.Max(in.BranchMissRatio, mean(s))
-		}
-	}
-	return in, nil
+	return in
 }
 
 // FormatTable renders the Fig. 2 evaluation header: one row per metric with

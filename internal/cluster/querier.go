@@ -4,7 +4,8 @@ package cluster
 // measurement), so every SELECT — and every metadata statement scoped to
 // one measurement — is answered whole by any single owner replica: the
 // coordinator routes the statement to the healthiest owner and fails over
-// to the next on error. That routing, not result stitching, is what keeps
+// to the next on error; a request's statements bound for the same owner
+// share one sub-request. That routing, not result stitching, is what keeps
 // clustered answers byte-identical to a single node: the two-phase Select
 // engine already merges its per-run partials in a fixed order on the
 // owning node (agg.go), and splitting one measurement's aggregation
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -41,6 +43,13 @@ func (c *Cluster) Querier() *DistributedQuerier {
 // response exactly as with a LocalQuerier; Query itself fails only when a
 // statement's entire replica set is unreachable (the caller's retry is
 // then meaningful) or the context is done.
+//
+// The measurement-scoped statements of a request are routed together
+// (execRouted): one sub-request per owner replica instead of one per
+// statement. CREATE and DROP DATABASE keep their place in the sequence —
+// the routed statements before one run before it, those after it after —
+// so a script that changes the database set reads what a single node
+// would. The other statements only read and run on their own paths.
 func (q *DistributedQuerier) Query(ctx context.Context, req tsdb.Request) (tsdb.Response, error) {
 	stmts := req.Statements
 	if len(stmts) == 0 {
@@ -54,32 +63,71 @@ func (q *DistributedQuerier) Query(ctx context.Context, req tsdb.Request) (tsdb.
 	defer func() { q.c.observeFanout(time.Since(start)) }()
 	sp := obs.TraceFrom(ctx).Start("cluster.query").AttrInt("statements", int64(len(stmts)))
 	defer sp.End()
-	var resp tsdb.Response
-	for _, st := range stmts {
+	results := make([]tsdb.ExecResult, len(stmts))
+	var routed []int
+	flush := func() error {
+		if len(routed) == 0 {
+			return nil
+		}
+		batch := make([]tsdb.Statement, len(routed))
+		for k, i := range routed {
+			batch[k] = stmts[i]
+		}
+		res, err := q.execRouted(ctx, req, batch)
+		if err != nil {
+			return err
+		}
+		for k, i := range routed {
+			results[i] = res[k]
+		}
+		routed = routed[:0]
+		return nil
+	}
+	for i, st := range stmts {
+		if routable(st) {
+			routed = append(routed, i)
+			continue
+		}
 		if err := ctx.Err(); err != nil {
 			return tsdb.Response{}, err
+		}
+		if st.Kind == tsdb.StmtCreateDatabase || st.Kind == tsdb.StmtDropDatabase {
+			if err := flush(); err != nil {
+				return tsdb.Response{}, err
+			}
 		}
 		res, err := q.execStatement(ctx, req, st)
 		if err != nil {
 			return tsdb.Response{}, err
 		}
-		resp.Results = append(resp.Results, res)
+		results[i] = res
 	}
-	return resp, nil
+	if err := flush(); err != nil {
+		return tsdb.Response{}, err
+	}
+	return tsdb.Response{Results: results}, nil
 }
 
-func (q *DistributedQuerier) execStatement(ctx context.Context, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, error) {
+// routable reports whether any single owner replica answers st whole: a
+// SELECT, or a metadata statement scoped to one measurement.
+func routable(st tsdb.Statement) bool {
 	switch st.Kind {
 	case tsdb.StmtSelect:
-		return q.execRouted(ctx, req, st)
+		return true
+	case tsdb.StmtShowFieldKeys, tsdb.StmtShowTagKeys, tsdb.StmtShowTagValues:
+		return st.Query.Measurement != ""
+	}
+	return false
+}
+
+// execStatement runs one statement that is not routed with its request's
+// batch: EXPLAIN ANALYZE and the statements every node answers.
+func (q *DistributedQuerier) execStatement(ctx context.Context, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, error) {
+	switch st.Kind {
 	case tsdb.StmtExplainAnalyze:
 		return q.execExplainAnalyze(ctx, req, st)
-	case tsdb.StmtShowFieldKeys, tsdb.StmtShowTagKeys, tsdb.StmtShowTagValues:
-		if st.Query.Measurement != "" {
-			return q.execRouted(ctx, req, st)
-		}
-		return q.execFanAll(ctx, req, st)
-	case tsdb.StmtShowMeasurements, tsdb.StmtShowDatabases:
+	case tsdb.StmtShowFieldKeys, tsdb.StmtShowTagKeys, tsdb.StmtShowTagValues,
+		tsdb.StmtShowMeasurements, tsdb.StmtShowDatabases:
 		return q.execFanAll(ctx, req, st)
 	case tsdb.StmtCreateDatabase, tsdb.StmtDropDatabase:
 		return q.execFanAllStrict(ctx, req, st)
@@ -88,13 +136,13 @@ func (q *DistributedQuerier) execStatement(ctx context.Context, req tsdb.Request
 	}
 }
 
-// queryNode runs one statement on one node: the local store for self
-// (no HTTP hop, native result values), the peer's /query with local=1
-// otherwise.
-func (q *DistributedQuerier) queryNode(ctx context.Context, id string, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, error) {
-	one := tsdb.Request{
+// queryNode runs statements on one node in one request: the local store
+// for self (no HTTP hop, native result values), the peer's /query with
+// local=1 otherwise.
+func (q *DistributedQuerier) queryNode(ctx context.Context, id string, req tsdb.Request, stmts []tsdb.Statement) ([]tsdb.ExecResult, error) {
+	sub := tsdb.Request{
 		Database:   req.Database,
-		Statements: []tsdb.Statement{st},
+		Statements: stmts,
 		Epoch:      req.Epoch,
 		Limit:      req.Limit,
 	}
@@ -102,17 +150,17 @@ func (q *DistributedQuerier) queryNode(ctx context.Context, id string, req tsdb.
 	var resp tsdb.Response
 	var err error
 	if n != nil && n.local != nil {
-		resp, err = tsdb.LocalQuerier{Store: n.local}.Query(ctx, one)
+		resp, err = tsdb.LocalQuerier{Store: n.local}.Query(ctx, sub)
 	} else {
-		resp, err = q.c.clientFor(id, req.Database).Query(ctx, one)
+		resp, err = q.c.clientFor(id, req.Database).Query(ctx, sub)
 	}
 	if err != nil {
-		return tsdb.ExecResult{}, err
+		return nil, err
 	}
-	if len(resp.Results) != 1 {
-		return tsdb.ExecResult{}, fmt.Errorf("cluster: node %s returned %d results for one statement", id, len(resp.Results))
+	if len(resp.Results) != len(stmts) {
+		return nil, fmt.Errorf("cluster: node %s returned %d results for %d statements", id, len(resp.Results), len(stmts))
 	}
-	return resp.Results[0], nil
+	return resp.Results, nil
 }
 
 // isNoDatabase reports the one embedded error that is topology-dependent:
@@ -123,48 +171,120 @@ func isNoDatabase(res tsdb.ExecResult) bool {
 	return res.Err == tsdb.ErrNoDatabase.Error()
 }
 
-// execRouted routes a measurement-scoped statement to its owner slice:
-// first healthy owner answers, the rest are failover targets. A replica
-// with queued hints is tried last — it is known to be missing
-// acknowledged writes until handoff drains. Each attempt is one
-// cluster.query.node span whose status attribute records how the replica
-// answered: "ok", "no-database" or the error.
-func (q *DistributedQuerier) execRouted(ctx context.Context, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, error) {
-	owners := q.c.owners(req.Database, st.Query.Measurement)
-	if len(owners) == 0 {
-		return tsdb.ExecResult{}, fmt.Errorf("cluster: empty ring")
+// route is one routed statement's walk down its replica order.
+type route struct {
+	order   []string // readOrder of the statement's owners
+	next    int      // position in order of the next attempt
+	noDB    *tsdb.ExecResult
+	lastErr error
+}
+
+// execRouted routes measurement-scoped statements to their owner
+// replicas, one result per statement. Each statement walks its own
+// readOrder: healthy owners first, a replica with queued hints last (it
+// is known to be missing acknowledged writes until handoff drains). In
+// each round the statements are grouped by the replica they try next, and
+// every group goes out as one sub-request, the groups concurrently — at
+// most one per ring member. A statement whose group failed in transport,
+// or that answered no-database, moves on to its next owner in the next
+// round on its own, and every attempt after a statement's first counts as
+// a read failover. A single statement is a group of one. Each group
+// attempt is one cluster.query.node span with the peer, the number of
+// statements and a status attribute: "ok", "no-database" (some statement
+// of the group answered so) or the transport error.
+func (q *DistributedQuerier) execRouted(ctx context.Context, req tsdb.Request, stmts []tsdb.Statement) ([]tsdb.ExecResult, error) {
+	results := make([]tsdb.ExecResult, len(stmts))
+	routes := make([]route, len(stmts))
+	pending := make([]int, len(stmts))
+	for i, st := range stmts {
+		owners := q.c.owners(req.Database, st.Query.Measurement)
+		if len(owners) == 0 {
+			return nil, fmt.Errorf("cluster: empty ring")
+		}
+		routes[i].order = q.c.readOrder(owners)
+		pending[i] = i
 	}
 	tr := obs.TraceFrom(ctx)
-	var noDB *tsdb.ExecResult
-	var lastErr error
-	for i, id := range q.c.readOrder(owners) {
+	for len(pending) > 0 {
 		if err := ctx.Err(); err != nil {
-			return tsdb.ExecResult{}, err
+			return nil, err
 		}
-		if i > 0 {
-			q.c.readFailovers.Add(1)
+		var peers []string
+		groups := make(map[string][]int)
+		for _, i := range pending {
+			r := &routes[i]
+			id := r.order[r.next]
+			if r.next > 0 {
+				q.c.readFailovers.Add(1)
+			}
+			r.next++
+			if _, ok := groups[id]; !ok {
+				peers = append(peers, id)
+			}
+			groups[id] = append(groups[id], i)
 		}
-		sp := tr.Start("cluster.query.node").Attr("peer", id)
-		res, err := q.queryNode(ctx, id, req, st)
-		switch {
-		case err != nil:
-			sp.Attr("status", err.Error()).End()
-			lastErr = err
-			continue
-		case isNoDatabase(res):
-			sp.Attr("status", "no-database").End()
-			noDB = &res
-			continue
+		answers := make([][]tsdb.ExecResult, len(peers))
+		errs := make([]error, len(peers))
+		var wg sync.WaitGroup
+		for g, id := range peers {
+			wg.Add(1)
+			go func(g int, id string) {
+				defer wg.Done()
+				answers[g], errs[g] = q.attempt(ctx, tr, id, req, stmts, groups[id])
+			}(g, id)
 		}
-		sp.Attr("status", "ok").End()
-		return res, nil
+		wg.Wait()
+		pending = pending[:0]
+		for g, id := range peers {
+			for k, i := range groups[id] {
+				r := &routes[i]
+				switch {
+				case errs[g] != nil:
+					r.lastErr = errs[g]
+				case isNoDatabase(answers[g][k]):
+					r.noDB = &answers[g][k]
+				default:
+					results[i] = answers[g][k]
+					continue
+				}
+				switch {
+				case r.next < len(r.order):
+					pending = append(pending, i)
+				case r.noDB != nil:
+					// Every reachable replica lacks the database: same
+					// answer a single node would give.
+					results[i] = *r.noDB
+				default:
+					return nil, fmt.Errorf("cluster: all %d replicas failed: %w", len(r.order), r.lastErr)
+				}
+			}
+		}
 	}
-	if noDB != nil {
-		// Every reachable replica lacks the database: same answer a single
-		// node would give.
-		return *noDB, nil
+	return results, nil
+}
+
+// attempt sends the statements stmts[idx...] to one replica as a single
+// sub-request, recorded as one cluster.query.node span.
+func (q *DistributedQuerier) attempt(ctx context.Context, tr *obs.Trace, id string, req tsdb.Request, stmts []tsdb.Statement, idx []int) ([]tsdb.ExecResult, error) {
+	group := make([]tsdb.Statement, len(idx))
+	for k, i := range idx {
+		group[k] = stmts[i]
 	}
-	return tsdb.ExecResult{}, fmt.Errorf("cluster: all %d replicas failed: %w", len(owners), lastErr)
+	sp := tr.Start("cluster.query.node").Attr("peer", id).AttrInt("statements", int64(len(group)))
+	res, err := q.queryNode(ctx, id, req, group)
+	status := "ok"
+	if err != nil {
+		status = err.Error()
+	} else {
+		for _, r := range res {
+			if isNoDatabase(r) {
+				status = "no-database"
+				break
+			}
+		}
+	}
+	sp.Attr("status", status).End()
+	return res, err
 }
 
 // execExplainAnalyze routes EXPLAIN ANALYZE exactly like the SELECT it
@@ -177,10 +297,11 @@ func (q *DistributedQuerier) execExplainAnalyze(ctx context.Context, req tsdb.Re
 	parent := obs.TraceFrom(ctx)
 	tr := parent.Fork()
 	defer parent.Join(tr)
-	res, err := q.execRouted(obs.WithTrace(ctx, tr), req, st)
+	routed, err := q.execRouted(obs.WithTrace(ctx, tr), req, []tsdb.Statement{st})
 	if err != nil {
 		return tsdb.ExecResult{}, err
 	}
+	res := routed[0]
 	var attempts []obs.SpanData
 	for _, sp := range tr.Spans() {
 		if sp.Name == "cluster.query.node" {
@@ -220,7 +341,11 @@ func (q *DistributedQuerier) fanResults(ctx context.Context, req tsdb.Request, s
 	done := make(chan int, len(ids))
 	for i, id := range ids {
 		go func(i int, id string) {
-			results[i], errs[i] = q.queryNode(ctx, id, req, st)
+			var res []tsdb.ExecResult
+			res, errs[i] = q.queryNode(ctx, id, req, []tsdb.Statement{st})
+			if errs[i] == nil {
+				results[i] = res[0]
+			}
 			done <- i
 		}(i, id)
 	}

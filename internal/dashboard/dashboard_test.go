@@ -283,7 +283,7 @@ func TestRenderDashboardText(t *testing.T) {
 
 func TestRenderPanelUnknownType(t *testing.T) {
 	store, _ := seedStore(t)
-	if _, err := RenderPanel(context.Background(), tsdb.LocalQuerier{Store: store}, "lms", Panel{ID: 1, Type: "piechart"}); err == nil {
+	if _, err := renderPanels(context.Background(), tsdb.LocalQuerier{Store: store}, "lms", []Panel{{ID: 1, Type: "piechart"}}); err == nil {
 		t.Fatal("unknown type accepted")
 	}
 }
@@ -291,15 +291,15 @@ func TestRenderPanelUnknownType(t *testing.T) {
 func TestRenderPanelNoData(t *testing.T) {
 	store := tsdb.NewStore()
 	store.CreateDatabase("lms")
-	out, err := RenderPanel(context.Background(), tsdb.LocalQuerier{Store: store}, "lms", Panel{
+	out, err := renderPanels(context.Background(), tsdb.LocalQuerier{Store: store}, "lms", []Panel{{
 		ID: 1, Type: "graph", Title: "t",
 		Targets: []Target{{Query: "SELECT value FROM ghost"}},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "(no data)") {
-		t.Fatalf("%q", out)
+	if !strings.Contains(out[0], "(no data)") {
+		t.Fatalf("%q", out[0])
 	}
 }
 

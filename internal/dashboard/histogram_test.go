@@ -124,10 +124,11 @@ func TestHistogramPanelRendering(t *testing.T) {
 		ID: 1, Title: "FP rate distribution", Type: "histogram",
 		Targets: []Target{{Query: "SELECT dp_mflop_s FROM likwid_mem_dp"}},
 	}
-	out, err := RenderPanel(context.Background(), tsdb.LocalQuerier{Store: store}, "lms", p)
+	rendered, err := renderPanels(context.Background(), tsdb.LocalQuerier{Store: store}, "lms", []Panel{p})
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := rendered[0]
 	if !strings.Contains(out, "FP rate distribution") || !strings.Contains(out, "n=100") {
 		t.Fatalf("%q", out)
 	}

@@ -114,35 +114,70 @@ func summarize(rs tsdb.ResultSeries) SeriesSummary {
 	return s
 }
 
-// RenderPanel executes a panel's queries through the query API and renders
-// the result as text. Graph panels become one sparkline per result series.
-// Queries are parsed once and handed to the querier as pre-built
-// statements, so the local path skips the InfluxQL string round-trip and
-// the remote path ships the canonical text.
-func RenderPanel(ctx context.Context, qr tsdb.Querier, dbName string, p Panel) (string, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", p.Title)
-	switch p.Type {
-	case "text":
-		b.WriteString(p.Content)
-		if !strings.HasSuffix(p.Content, "\n") {
-			b.WriteByte('\n')
+// renderPanels renders panels as text, in order. Every target of every
+// panel is parsed once and all their statements go out in ONE request —
+// one round trip against a remote querier — as pre-built statements, so
+// the local path skips the InfluxQL string round-trip and the remote path
+// ships the canonical text. Each target then renders from its own slice
+// of the results: graph panels become one sparkline per result series.
+// Errors are those rendering the panels one at a time would meet first: a
+// panel that cannot be queried (unknown type, unparsable target) stops the
+// batch there, and only the panels before it are fetched.
+func renderPanels(ctx context.Context, qr tsdb.Querier, dbName string, panels []Panel) ([]string, error) {
+	var stmts []tsdb.Statement
+	targets := make([][][2]int, len(panels)) // per panel and target: its [lo, hi) results
+	stop, stopErr := len(panels), error(nil)
+collect:
+	for i, p := range panels {
+		switch p.Type {
+		case "text":
+			continue
+		case "graph", "table", "histogram":
+		default:
+			stop, stopErr = i, fmt.Errorf("dashboard: panel %d has unknown type %q", p.ID, p.Type)
+			break collect
 		}
-		return b.String(), nil
-	case "graph", "table", "histogram":
 		for _, tgt := range p.Targets {
-			stmts, err := tsdb.ParseQuery(tgt.Query)
+			parsed, err := tsdb.ParseQuery(tgt.Query)
 			if err != nil {
-				return "", fmt.Errorf("dashboard: panel %d: %w", p.ID, err)
+				stop, stopErr = i, fmt.Errorf("dashboard: panel %d: %w", p.ID, err)
+				break collect
 			}
-			resp, err := qr.Query(ctx, tsdb.Request{Database: dbName, Statements: stmts})
-			if err == nil {
-				err = resp.Err()
+			targets[i] = append(targets[i], [2]int{len(stmts), len(stmts) + len(parsed)})
+			stmts = append(stmts, parsed...)
+		}
+	}
+	var results []tsdb.ExecResult
+	if len(stmts) > 0 {
+		resp, err := qr.Query(ctx, tsdb.Request{Database: dbName, Statements: stmts})
+		if err == nil && len(resp.Results) != len(stmts) {
+			err = fmt.Errorf("%d statements produced %d results", len(stmts), len(resp.Results))
+		}
+		if err != nil {
+			for i := range panels {
+				if len(targets[i]) > 0 {
+					return nil, fmt.Errorf("dashboard: panel %d: %w", panels[i].ID, err)
+				}
 			}
-			if err != nil {
-				return "", fmt.Errorf("dashboard: panel %d: %w", p.ID, err)
+		}
+		results = resp.Results
+	}
+	out := make([]string, 0, len(panels))
+	for i, p := range panels {
+		var b strings.Builder
+		fmt.Fprintf(&b, "== %s ==\n", p.Title)
+		if p.Type == "text" {
+			b.WriteString(p.Content)
+			if !strings.HasSuffix(p.Content, "\n") {
+				b.WriteByte('\n')
 			}
-			for _, res := range resp.Results {
+		}
+		for _, span := range targets[i] {
+			own := results[span[0]:span[1]]
+			if err := (tsdb.Response{Results: own}).Err(); err != nil {
+				return nil, fmt.Errorf("dashboard: panel %d: %w", p.ID, err)
+			}
+			for _, res := range own {
 				if len(res.Series) == 0 {
 					b.WriteString("(no data)\n")
 					continue
@@ -163,14 +198,17 @@ func RenderPanel(ctx context.Context, qr tsdb.Querier, dbName string, p Panel) (
 				}
 			}
 		}
-		return b.String(), nil
-	default:
-		return "", fmt.Errorf("dashboard: panel %d has unknown type %q", p.ID, p.Type)
+		if i == stop {
+			return nil, stopErr
+		}
+		out = append(out, b.String())
 	}
+	return out, nil
 }
 
 // RenderDashboard renders all rows and panels plus the annotation events,
-// fetching every query through the given querier.
+// fetching every query through the given querier: one request for the
+// annotations and one for all panels.
 func RenderDashboard(ctx context.Context, qr tsdb.Querier, dbName string, d *Dashboard) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s ###\n", d.Title)
@@ -178,35 +216,42 @@ func RenderDashboard(ctx context.Context, qr tsdb.Querier, dbName string, d *Das
 		fmt.Fprintf(&b, "time range: %s .. %s\n",
 			d.Time.From.Format(time.RFC3339), d.Time.To.Format(time.RFC3339))
 	}
+	var annStmts []tsdb.Statement
 	for _, ann := range d.Annotations {
 		stmts, err := tsdb.ParseQuery(ann.Query)
 		if err != nil {
 			continue
 		}
-		resp, err := qr.Query(ctx, tsdb.Request{Database: dbName, Statements: stmts})
-		if err != nil {
-			continue
-		}
-		for _, res := range resp.Results {
-			for _, rs := range res.Series {
-				for _, row := range rs.Values {
-					if len(row) >= 2 {
-						if text, ok := row[1].(string); ok {
-							fmt.Fprintf(&b, "event @ %v: %s\n", row[0], text)
+		annStmts = append(annStmts, stmts...)
+	}
+	if len(annStmts) > 0 {
+		if resp, err := qr.Query(ctx, tsdb.Request{Database: dbName, Statements: annStmts}); err == nil {
+			for _, res := range resp.Results {
+				for _, rs := range res.Series {
+					for _, row := range rs.Values {
+						if len(row) >= 2 {
+							if text, ok := row[1].(string); ok {
+								fmt.Fprintf(&b, "event @ %v: %s\n", row[0], text)
+							}
 						}
 					}
 				}
 			}
 		}
 	}
+	var panels []Panel
+	for _, row := range d.Rows {
+		panels = append(panels, row.Panels...)
+	}
+	rendered, err := renderPanels(ctx, qr, dbName, panels)
+	if err != nil {
+		return "", err
+	}
 	for _, row := range d.Rows {
 		fmt.Fprintf(&b, "\n-- %s --\n", row.Title)
-		for _, p := range row.Panels {
-			s, err := RenderPanel(ctx, qr, dbName, p)
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(s)
+		for range row.Panels {
+			b.WriteString(rendered[0])
+			rendered = rendered[1:]
 		}
 	}
 	return b.String(), nil

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/lineproto"
@@ -528,7 +530,7 @@ func (c *Client) WriteBodyContext(ctx context.Context, body []byte) error {
 		vals[k] = vs
 	}
 	vals.Set("db", c.Database)
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/write?"+vals.Encode(), readerOf(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/write?"+vals.Encode(), bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -566,23 +568,44 @@ func (c *Client) WritePointsContext(ctx context.Context, pts []lineproto.Point) 
 	return c.WriteBodyContext(ctx, body)
 }
 
+// maxQueryParamBytes bounds the URL-encoded q parameter of one GET
+// /query. The query text rides in the request line, which a net/http
+// server refuses (431) once the header block passes its 1 MiB default; a
+// statement list whose encoding is longer goes out as consecutive GETs of
+// whole statements, so a batched view over a job with many nodes never
+// meets that limit.
+const maxQueryParamBytes = 256 << 10
+
+// queryPart is the q text of one GET and the number of statements in it
+// (0 when unknown).
+type queryPart struct {
+	text   string
+	expect int
+}
+
 // Query implements Querier over the HTTP /query endpoint. Pre-parsed
 // statements are serialized to canonical InfluxQL for the wire; parameters
 // travel as properly encoded url.Values, so database names and query text
-// containing '&', '+' or '%' survive intact. Transient failures (connection
-// errors, 5xx responses) of this idempotent GET are retried with
-// exponential backoff, honoring ctx.
+// containing '&', '+' or '%' survive intact. A statement list longer than
+// maxQueryParamBytes is split into consecutive requests whose results are
+// concatenated in statement order. Transient failures (connection errors,
+// 5xx responses) of these idempotent GETs are retried with exponential
+// backoff, honoring ctx.
 func (c *Client) Query(ctx context.Context, req Request) (Response, error) {
-	qtext := req.RawQuery
-	expect := len(req.Statements)
-	if expect > 0 {
-		qtext = textOf(req.Statements)
-	} else if stmts, err := ParseQuery(req.RawQuery); err == nil {
+	var parts []queryPart
+	if len(req.Statements) > 0 {
+		parts = splitStatements(req.Statements)
+	} else if stmts, err := ParseQuery(req.RawQuery); err != nil {
+		// RawQuery text our InfluxQL subset cannot parse may still be
+		// valid for a real InfluxDB: send it as is, without the count
+		// check.
+		parts = []queryPart{{text: req.RawQuery}}
+	} else if len(url.QueryEscape(req.RawQuery)) > maxQueryParamBytes {
+		parts = splitStatements(stmts)
+	} else {
 		// The server answers one result per statement; knowing the count
-		// lets the client detect a truncated (chunked) stream. RawQuery
-		// text our InfluxQL subset cannot parse may still be valid for a
-		// real InfluxDB, so a parse failure just disables the check.
-		expect = len(stmts)
+		// lets the client detect a truncated (chunked) stream.
+		parts = []queryPart{{text: req.RawQuery, expect: len(stmts)}}
 	}
 	dbName := req.Database
 	if dbName == "" {
@@ -592,7 +615,6 @@ func (c *Client) Query(ctx context.Context, req Request) (Response, error) {
 	for k, vs := range c.Params {
 		vals[k] = vs
 	}
-	vals.Set("q", qtext)
 	if dbName != "" {
 		vals.Set("db", dbName)
 	}
@@ -605,9 +627,50 @@ func (c *Client) Query(ctx context.Context, req Request) (Response, error) {
 	if req.Chunked {
 		vals.Set("chunked", "true")
 	}
-	u := c.BaseURL + "/query?" + vals.Encode()
+	var out Response
+	for _, part := range parts {
+		vals.Set("q", part.text)
+		resp, err := c.queryRetrying(ctx, c.BaseURL+"/query?"+vals.Encode(), part.expect)
+		if err != nil {
+			return Response{}, err
+		}
+		if len(parts) == 1 {
+			return resp, nil
+		}
+		out.Results = append(out.Results, resp.Results...)
+	}
+	return out, nil
+}
 
-	var lastErr error
+// splitStatements renders stmts as ';'-separated InfluxQL scripts, each
+// as long as fits maxQueryParamBytes once URL-encoded (a single longer
+// statement travels alone).
+func splitStatements(stmts []Statement) []queryPart {
+	const sep, sepLen = "; ", len("%3B+")
+	var parts []queryPart
+	var b strings.Builder
+	cur, size := 0, 0
+	for _, st := range stmts {
+		text := st.Text()
+		n := len(url.QueryEscape(text))
+		if cur > 0 && size+sepLen+n > maxQueryParamBytes {
+			parts = append(parts, queryPart{text: b.String(), expect: cur})
+			b.Reset()
+			cur, size = 0, 0
+		}
+		if cur > 0 {
+			b.WriteString(sep)
+			size += sepLen
+		}
+		b.WriteString(text)
+		size += n
+		cur++
+	}
+	return append(parts, queryPart{text: b.String(), expect: cur})
+}
+
+// queryRetrying performs one GET /query, retrying transient failures.
+func (c *Client) queryRetrying(ctx context.Context, u string, expect int) (Response, error) {
 	backoff := c.backoff()
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -622,9 +685,8 @@ func (c *Client) Query(ctx context.Context, req Request) (Response, error) {
 		if err == nil {
 			return resp, nil
 		}
-		lastErr = err
 		if !retryable || attempt >= c.retries() || ctx.Err() != nil {
-			return Response{}, lastErr
+			return Response{}, err
 		}
 	}
 }
@@ -700,23 +762,6 @@ func (c *Client) QueryString(q string) ([]ExecResult, error) {
 		return nil, err
 	}
 	return resp.Results, resp.Err()
-}
-
-// readerOf avoids importing bytes just for NewReader.
-type byteReader struct {
-	b []byte
-	i int
-}
-
-func readerOf(b []byte) io.Reader { return &byteReader{b: b} }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
 }
 
 // FloatValue converts an InfluxDB JSON value cell to float64: float64 and

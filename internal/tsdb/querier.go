@@ -388,15 +388,6 @@ func stringText(s string) string {
 	return b.String()
 }
 
-// textOf joins statements into one ';'-separated InfluxQL script.
-func textOf(stmts []Statement) string {
-	parts := make([]string, len(stmts))
-	for i, st := range stmts {
-		parts[i] = st.Text()
-	}
-	return strings.Join(parts, "; ")
-}
-
 // epochMult returns the nanoseconds-per-unit divisor of an epoch parameter
 // value; "" means RFC3339 string timestamps.
 func epochMult(epoch string) (int64, error) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -508,5 +509,62 @@ func TestQueryStringsHelper(t *testing.T) {
 	}
 	if _, err := QueryStrings(ctx, local, "ghostdb", ShowFieldKeysStatement("cpu"), 0); err == nil {
 		t.Fatal("missing database accepted")
+	}
+}
+
+// TestClientSplitsLargeBatch: a statement list whose URL-encoded text
+// passes the 1 MiB header limit of a net/http server (which answers 431)
+// goes out as several GETs of whole statements; the concatenated results
+// equal one unsplit local run, for pre-parsed statements and raw text.
+func TestClientSplitsLargeBatch(t *testing.T) {
+	store := seedQuerierStore(t)
+	inner := NewHandler(store)
+	var gets, longest atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		gets.Add(1)
+		if n := int64(len(r.URL.RawQuery)); n > longest.Load() {
+			longest.Store(n)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	const n = 20000
+	texts := make([]string, n)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("SELECT max(value) FROM cpu WHERE time >= %d AND time <= %d AND hostname = 'h%d'",
+			int64(1000+i%40)*1e9, int64(1010+i%40)*1e9, 1+i%2)
+	}
+	raw := strings.Join(texts, "; ")
+	if n := len(url.QueryEscape(raw)); n < 2<<20 {
+		t.Fatalf("encoded batch is %d bytes, want > 2 MiB", n)
+	}
+	stmts, err := ParseQuery(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want, err := LocalQuerier{Store: store}.Query(ctx, Request{Database: "lms", Statements: stmts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON := mustJSON(t, want)
+	c := &Client{BaseURL: srv.URL, Database: "lms"}
+	for _, req := range []Request{{Statements: stmts}, {RawQuery: raw}} {
+		gets.Store(0)
+		got, err := c.Query(ctx, req)
+		if err != nil {
+			t.Fatalf("raw=%v: %v", req.RawQuery != "", err)
+		}
+		if g := gets.Load(); g < 2 {
+			t.Fatalf("raw=%v: %d GETs, want the batch split", req.RawQuery != "", g)
+		}
+		if gotJSON := mustJSON(t, got); gotJSON != wantJSON {
+			t.Fatalf("raw=%v: split batch diverged from the local run (%d vs %d results)",
+				req.RawQuery != "", len(got.Results), len(want.Results))
+		}
+	}
+	if l := longest.Load(); l > maxQueryParamBytes+1024 {
+		t.Fatalf("longest query string %d bytes, bound %d", l, maxQueryParamBytes)
 	}
 }
